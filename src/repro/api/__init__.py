@@ -4,8 +4,9 @@ The Vadalog system exposes a single query interface over a pipeline of
 operators; this package is that shape for the reproduction:
 
 * :class:`Session` — owns a fact-storage backend and a shared EDB,
-  reusable across many queries; caches compiled programs, star
-  abstractions, and saturated materializations;
+  reusable across many queries; caches compiled programs, and star
+  abstractions and saturated materializations in a
+  :class:`FixpointCache` upgraded in place under EDB changes;
 * :class:`CompiledProgram` — parse → classify → stratify → lint → plan
   exactly once (``compiled.analysis_runs == 1`` and
   ``compiled.lint_runs == 1`` no matter how many queries run); programs
@@ -36,6 +37,7 @@ remain as thin wrappers over this layer.
 """
 
 from ..lint import LintError
+from .cache import FixpointCache
 from .execution import execute_plan
 from .planner import ENGINES, EXEC_MODES, REWRITES, Planner, QueryPlan
 from .program import CompiledProgram, ProgramAnalysis, compile_program
@@ -45,6 +47,7 @@ from .stream import AnswerStream, StreamStats
 __all__ = [
     "LintError",
     "Session",
+    "FixpointCache",
     "CompiledProgram",
     "ProgramAnalysis",
     "compile_program",

@@ -6,9 +6,10 @@ Every engine is driven through its streaming core
 :func:`~repro.chase.runner.stream_chase_answers`,
 :func:`~repro.reasoning.answers.stream_proof_tree_answers`,
 :meth:`~repro.engine.operators.OperatorNetwork.stream`), so answers
-surface as they are derived.  When a :class:`~repro.api.session.Session`
-is attached, saturated materializations and star abstractions are
-reused across queries instead of recomputed.
+surface as they are derived.  When a
+:class:`~repro.api.cache.FixpointCache` is attached, saturated
+materializations and star abstractions are reused across queries
+instead of recomputed.
 """
 
 from __future__ import annotations
@@ -77,16 +78,28 @@ def _stream_network_answers(query, database, network, *, store, run,
     )
 
 
+def _registrar(session, plan):
+    """The hook registering a saturated run of *plan* with *session*.
+
+    Built as the engine starts, so it carries the watermark of the EDB
+    the run reads (see :meth:`~repro.api.cache.FixpointCache.set_fixpoint`).
+    """
+    if session is None:
+        return None
+    version = session.version
+    return lambda instance: session.set_fixpoint(plan, instance, version)
+
+
 def execute_plan(
     plan: QueryPlan, database: Database, *, session=None
 ) -> AnswerStream:
     """Execute *plan* against *database*, returning a lazy stream.
 
     Construction does no work; the engine runs only as the stream is
-    pulled.  With a *session*, the materializing engines first consult
-    its fixpoint cache (a hit skips the engine entirely) and register
-    their saturated result on completion, and the proof-tree engines
-    reuse the session's star abstraction.
+    pulled.  With a *session* (a :class:`~repro.api.cache.FixpointCache`),
+    the materializing engines first consult it (a hit skips the engine
+    entirely) and register their saturated result on completion, and
+    the proof-tree engines reuse its star abstraction.
     """
     stats = StreamStats(
         method=plan.method,
@@ -127,11 +140,7 @@ def execute_plan(
                 # view must be re-iterable.  The copy is atom refs only.
                 facts = list(database)
                 facts.extend(rewriting.seed)
-            on_fixpoint = (
-                (lambda instance: session.set_fixpoint(plan, instance))
-                if session
-                else None
-            )
+            on_fixpoint = _registrar(session, plan)
             yield from stream_datalog_answers(
                 run_query,
                 facts,
@@ -163,11 +172,7 @@ def execute_plan(
                 chase_kwargs.setdefault("max_steps", STRICT_CHASE_MAX_STEPS)
             chase_kwargs.setdefault("variant", "restricted")
             run = ChaseRun()
-            on_fixpoint = (
-                (lambda instance: session.set_fixpoint(plan, instance))
-                if session
-                else None
-            )
+            on_fixpoint = _registrar(session, plan)
             yield from stream_chase_answers(
                 query,
                 database,
@@ -225,6 +230,7 @@ def execute_plan(
                 # rather than loop unboundedly.
                 net_kwargs.setdefault("max_atoms", STRICT_CHASE_MAX_ATOMS)
                 net_kwargs.setdefault("max_events", STRICT_CHASE_MAX_STEPS)
+            register = _registrar(session, plan)
             network = plan.program.network(
                 guide=net_kwargs.pop("guide", None),
                 null_factory=net_kwargs.pop("null_factory", None),
@@ -240,8 +246,8 @@ def execute_plan(
             )
             stats.saturated = run.saturated
             stats.events = run.events
-            if run.saturated and session is not None:
-                session.set_fixpoint(plan, run.instance)
+            if run.saturated and register is not None:
+                register(run.instance)
             if strict and not run.saturated:
                 raise UnsupportedProgramError(_NOT_SATURATED)
 

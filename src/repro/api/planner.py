@@ -82,7 +82,38 @@ _PIPELINES = {
 }
 
 
-def _store_label(store) -> str:
+def classify_maintenance(
+    compiled: CompiledProgram, method: str, *, rewritten: bool
+) -> Tuple[bool, str]:
+    """Whether a materialization can be upgraded under EDB change sets
+    (see :mod:`repro.incremental`), and the human-readable why/why-not.
+
+    The fixpoint caches maintain an entry exactly when this says so and
+    report this text when they drop one.
+    """
+    from ..incremental import unmaintainable_reason
+
+    gap = unmaintainable_reason(compiled.analysis)
+    if rewritten:
+        return False, (
+            "recompute on EDB change (magic-rewritten "
+            "materialization is demand-specific)"
+        )
+    if gap is None and method in ("pwl", "ward"):
+        # The proof-tree engines hold no materialization to
+        # maintain; their abstraction is recomputed per EDB change.
+        return False, (
+            "recompute on EDB change (proof-tree engines cache no "
+            "materialization)"
+        )
+    if gap is None:
+        return True, "incremental (DRed + counting over the strata)"
+    return False, f"recompute on EDB change ({gap})"
+
+
+def store_label(store) -> str:
+    """The display/cache name of a ``store=`` choice (factories carry
+    their name in ``__name__`` — e.g. ``sharded_store_factory``)."""
     if isinstance(store, str):
         return store
     if isinstance(store, FactStore):
@@ -136,8 +167,8 @@ class QueryPlan:
     #: in place under EDB change sets (see :mod:`repro.incremental`);
     #: ``maintenance`` carries the human-readable why/why-not.  The
     #: default is the conservative "not classified" — only
-    #: :meth:`Planner.plan` asserts maintainability (the session
-    #: re-derives the real classification before ever maintaining).
+    #: :meth:`Planner.plan` asserts maintainability, and the fixpoint
+    #: caches maintain nothing it did not classify as maintainable.
     maintainable: bool = False
     maintenance: str = "unclassified (plan not built by Planner.plan)"
 
@@ -263,7 +294,7 @@ class Planner:
                 f"unknown exec_mode {exec_mode!r}; choose one of "
                 f"{', '.join(EXEC_MODES)}"
             )
-        store_name = _store_label(store)
+        store_name = store_label(store)
         if resolved != "datalog":
             if exec_mode == "kernel":
                 raise ValueError(
@@ -363,29 +394,9 @@ class Planner:
                     "predicate all-free, so demand does not restrict "
                     "the fixpoint",
                 )
-        from ..incremental import unmaintainable_reason
-
-        gap = unmaintainable_reason(compiled.analysis)
-        if rewriting is not None:
-            maintainable = False
-            maintenance = (
-                "recompute on EDB change (magic-rewritten "
-                "materialization is demand-specific)"
-            )
-        elif gap is None and resolved in ("pwl", "ward"):
-            # The proof-tree engines hold no materialization to
-            # maintain; their abstraction is recomputed per EDB change.
-            maintainable = False
-            maintenance = (
-                "recompute on EDB change (proof-tree engines cache no "
-                "materialization)"
-            )
-        elif gap is None:
-            maintainable = True
-            maintenance = "incremental (DRed + counting over the strata)"
-        else:
-            maintainable = False
-            maintenance = f"recompute on EDB change ({gap})"
+        maintainable, maintenance = classify_maintenance(
+            compiled, resolved, rewritten=rewriting is not None
+        )
         return QueryPlan(
             query=query,
             method=resolved,

@@ -8,7 +8,7 @@ The layering, bottom-up:
   installed atomically, collected when their last reader drains;
 * :mod:`~repro.server.service` — :class:`ReasoningService`, the
   embeddable core: one thread-safe session for planning/compilation,
-  per-version fixpoint caches migrated incrementally across updates;
+  one fixpoint cache per version, carried incrementally across updates;
 * :mod:`~repro.server.protocol` / :mod:`~repro.server.daemon` — the
   newline-delimited-JSON wire format and the threaded TCP daemon;
 * :mod:`~repro.server.client` — :class:`ReasoningClient`, the blocking
@@ -19,7 +19,7 @@ CLI: ``python -m repro serve PROGRAM`` / ``python -m repro client ...``.
 
 from .client import ReasoningClient, RemoteAnswers, ServerError
 from .daemon import ReasoningServer
-from .service import QueryResult, ReasoningService, UpdateResult, VersionCaches
+from .service import QueryResult, ReasoningService, UpdateResult
 from .snapshot import SnapshotLease, SnapshotManager, SnapshotVersion
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "SnapshotManager",
     "SnapshotVersion",
     "UpdateResult",
-    "VersionCaches",
 ]

@@ -7,18 +7,19 @@ over it, and tests/benchmarks drive it in-process with plain threads.
 
 Design:
 
-* one :class:`~repro.api.Session` owns program compilation and
-  planning (compile-once, adorned-program cache, plan explanations) —
-  made thread-safe in this PR;
+* one thread-safe :class:`~repro.api.Session` owns program
+  compilation and planning (compile-once, adorned-program cache, plan
+  explanations);
 * a :class:`~repro.server.snapshot.SnapshotManager` owns the EDB as a
   chain of immutable versions; every query is *admitted* under a lease
   on the then-current version and evaluates against that frozen store
   no matter how many updates land while it runs;
-* each version carries its own :class:`VersionCaches` — saturated
-  materializations and star abstractions valid for exactly that EDB —
-  because a shared in-place cache (the session's own) would be upgraded
-  under a running reader's feet.  On ``apply``, maintainable fixpoints
-  are *migrated* to the new version: copy, then run the PR-4
+* each version carries its own :class:`~repro.api.FixpointCache` —
+  saturated materializations and star abstractions valid for exactly
+  that EDB — because a shared in-place cache (the session's own) would
+  be upgraded under a running reader's feet.  On ``apply``, the
+  previous head's cache advances *into* the new version's: each
+  maintainable fixpoint is copied and the copy maintained by a
   :class:`~repro.incremental.FixpointMaintainer` over just the change
   batch, so the new version starts warm without recomputing and the old
   version's copy stays exact for its in-flight readers.
@@ -31,138 +32,17 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..api.execution import execute_plan
-from ..api.planner import QueryPlan
-from ..api.session import Session, fixpoint_cache_key, fixpoint_cacheable
+from ..api.planner import store_label
+from ..api.session import Session
 from ..api.stream import AnswerStream
-from ..incremental import ChangeSet, FixpointMaintainer, unmaintainable_reason
-from ..storage import FactStore, make_store
-from ..storage.sharded import (
-    FixpointRecord,
-    SavedState,
-    StateDirectory,
-    program_fingerprint,
-)
-from .snapshot import SnapshotManager, SnapshotVersion, _store_label
+from ..incremental import ChangeSet, MaintenanceReport
+from ..storage.sharded import SavedState, StateDirectory, program_fingerprint
+from .snapshot import SnapshotManager
 
-__all__ = ["QueryResult", "ReasoningService", "UpdateResult", "VersionCaches"]
-
-
-class _CacheEntry:
-    """One per-version saturated materialization plus what migration
-    needs to carry it across versions."""
-
-    __slots__ = ("store", "compiled", "maintainable", "rewrite", "label")
-
-    def __init__(self, store, compiled, maintainable, rewrite, label):
-        self.store = store
-        self.compiled = compiled
-        self.maintainable = maintainable
-        self.rewrite = rewrite
-        self.label = label
-
-
-class VersionCaches:
-    """Cross-query caches scoped to one immutable snapshot version.
-
-    Duck-typed as the ``session=`` collaborator of
-    :func:`repro.api.execution.execute_plan`: it answers
-    ``get_fixpoint`` / ``set_fixpoint`` / ``abstraction_for``, but keyed
-    to one EDB version instead of a mutable session — the load-bearing
-    difference for snapshot isolation.
-    """
-
-    #: Cap on demand-specific (magic) entries per version, mirroring
-    #: the session's bound.
-    MAGIC_LIMIT = 32
-
-    def __init__(self, version: SnapshotVersion):
-        self._version = version
-        self._lock = threading.Lock()
-        self._fixpoints: Dict[tuple, _CacheEntry] = {}
-        self._abstractions: Dict[int, object] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get_fixpoint(self, plan: QueryPlan) -> Optional[FactStore]:
-        if not fixpoint_cacheable(plan):
-            return None
-        with self._lock:
-            entry = self._fixpoints.get(fixpoint_cache_key(plan))
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return entry.store
-
-    def set_fixpoint(self, plan: QueryPlan, instance: FactStore) -> None:
-        if not fixpoint_cacheable(plan):
-            return
-        tag = "×magic" if plan.rewrite == "magic" else ""
-        label = (
-            f"{plan.method}×{plan.store_name}{tag} fixpoint "
-            f"[{plan.program.name}] @v{self._version.number}"
-        )
-        entry = _CacheEntry(
-            instance, plan.program, plan.maintainable, plan.rewrite, label
-        )
-        with self._lock:
-            self._fixpoints[fixpoint_cache_key(plan)] = entry
-            if plan.rewrite == "magic":
-                magic_keys = [
-                    key
-                    for key, cached in self._fixpoints.items()
-                    if cached.rewrite == "magic"
-                ]
-                for key in magic_keys[: -self.MAGIC_LIMIT]:
-                    del self._fixpoints[key]
-
-    def abstraction_for(self, compiled):
-        """The star abstraction of (this version's EDB, Σ) — computed at
-        most once per (version, program), shared by concurrent readers."""
-        from ..reasoning.abstraction import star_abstraction
-
-        key = id(compiled)
-        with self._lock:
-            abstraction = self._abstractions.get(key)
-        if abstraction is not None:
-            return abstraction
-        computed = star_abstraction(
-            self._version.store, compiled.analysis.normalized
-        )
-        with self._lock:
-            # First publisher wins; a racing duplicate is equal anyway.
-            return self._abstractions.setdefault(key, computed)
-
-    def entries(self) -> List[Tuple[tuple, _CacheEntry]]:
-        with self._lock:
-            return list(self._fixpoints.items())
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "fixpoints": len(self._fixpoints),
-                "abstractions": len(self._abstractions),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
-
-
-#: Guards lazy creation of a version's cache object (two queries
-#: admitted on a fresh version race to attach it).
-_caches_guard = threading.Lock()
-
-
-def _caches_for(version: SnapshotVersion) -> VersionCaches:
-    caches = version.caches
-    if caches is None:
-        with _caches_guard:
-            if version.caches is None:
-                version.caches = VersionCaches(version)
-            caches = version.caches
-    return caches
+__all__ = ["QueryResult", "ReasoningService", "UpdateResult"]
 
 
 @dataclass(frozen=True)
@@ -266,7 +146,9 @@ class ReasoningService:
             self._session.edb, store=store, flatten_depth=flatten_depth
         )
         if restored is not None:
-            self._install_restored_fixpoints(restored)
+            self._snapshots._head.cache.restore(
+                restored.fixpoints, self._compiled, store
+            )
             self.warm_started = True
         self._write_lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -281,71 +163,17 @@ class ReasoningService:
 
     # -- warm-start persistence --------------------------------------------
 
-    def _install_restored_fixpoints(self, restored: SavedState) -> None:
-        """Re-seed the head version's caches from a checkpoint.
-
-        The persisted records carry the stable parts of the fixpoint
-        cache key (method, store name, engine kwargs); the process-
-        local part — ``id(compiled)`` — is reconstructed against this
-        process's compiled program.  Records for a different store
-        choice are skipped: their keys could never be looked up.
-        """
-        label = _store_label(self._session.store)
-        maintainable = (
-            unmaintainable_reason(self._compiled.analysis) is None
-        )
-        head = self._snapshots._head
-        caches = _caches_for(head)
-        for record in restored.fixpoints:
-            if record.store_name != label:
-                continue
-            store = make_store(self._session.store, record.atoms)
-            key = (
-                id(self._compiled),
-                record.method,
-                record.store_name,
-                record.kwargs,
-                "none",
-                None,
-            )
-            entry = _CacheEntry(
-                store,
-                self._compiled,
-                maintainable,
-                "none",
-                f"{record.method}×{record.store_name} fixpoint "
-                f"[{self._compiled.name}] @v{head.number} (restored)",
-            )
-            with caches._lock:
-                caches._fixpoints[key] = entry
-
     def _checkpoint_locked(self) -> Optional[Path]:
         """Persist head EDB + its cacheable fixpoints (write lock held)."""
         if self._state is None:
             return None
         head = self._snapshots._head
-        records = []
-        if head.caches is not None:
-            for key, entry in head.caches.entries():
-                # Only unrewritten, untokened materializations persist:
-                # demand-specific (magic) fixpoints are tied to one
-                # query's seed constants, same rule as migration.
-                if entry.rewrite != "none" or key[5] is not None:
-                    continue
-                records.append(
-                    FixpointRecord(
-                        method=key[1],
-                        store_name=key[2],
-                        kwargs=key[3],
-                        atoms=tuple(entry.store),
-                    )
-                )
         state = SavedState(
             program_key=self._program_key,
-            store_name=_store_label(self._session.store),
+            store_name=store_label(self._session.store),
             version=head.number,
             edb=tuple(head.store),
-            fixpoints=tuple(records),
+            fixpoints=tuple(head.cache.records()),
         )
         return self._state.save(state)
 
@@ -411,7 +239,7 @@ class ReasoningService:
                 exec_mode=exec_mode, **engine_kwargs
             )
             stream = execute_plan(
-                plan, lease.store, session=_caches_for(lease.snapshot)
+                plan, lease.store, session=lease.snapshot.cache
             )
         except BaseException:
             lease.release()
@@ -541,8 +369,17 @@ class ReasoningService:
             version = self._snapshots.install(
                 report.inserted, report.retracted
             )
-            migrated, fallbacks = self._migrate_caches(
-                previous, version, report.inserted, report.retracted
+            migration = MaintenanceReport(
+                version=version.number,
+                inserted=report.inserted,
+                retracted=report.retracted,
+            )
+            previous.cache.advance(
+                report.inserted,
+                report.retracted,
+                version.store,
+                migration,
+                into=version.cache,
             )
             # Keep the warm-start checkpoint current: a crash after
             # this point restarts at this version, not at serve start.
@@ -550,68 +387,18 @@ class ReasoningService:
         wall_ms = (time.perf_counter() - started) * 1000.0
         with self._stats_lock:
             self.updates_total += 1
-            self.migrated_total += migrated
-            self.migration_fallbacks_total += len(fallbacks)
+            self.migrated_total += len(migration.maintained)
+            self.migration_fallbacks_total += len(migration.fallbacks)
         return UpdateResult(
             version=version.number,
             added=report.added,
             dropped=report.dropped,
             maintained=len(report.maintained),
-            migrated=migrated,
-            fallbacks=tuple(fallbacks),
+            migrated=len(migration.maintained),
+            fallbacks=tuple(migration.fallbacks),
             wall_ms=wall_ms,
             effective=True,
         )
-
-    def _migrate_caches(
-        self,
-        previous: SnapshotVersion,
-        version: SnapshotVersion,
-        inserted: Tuple,
-        retracted: Tuple,
-    ) -> Tuple[int, List[Tuple[str, str]]]:
-        """Carry the previous head's fixpoints to the new version.
-
-        Copy-then-maintain keeps the old version's store untouched for
-        its in-flight readers while the new version inherits a warm,
-        exactly-upgraded materialization (the same DRed + counting +
-        semi-naive schedule ``Session.apply`` runs in place).
-        """
-        if previous.caches is None:
-            return 0, []
-        migrated = 0
-        fallbacks: List[Tuple[str, str]] = []
-        target = _caches_for(version)
-        for key, entry in previous.caches.entries():
-            if entry.rewrite == "magic":
-                fallbacks.append(
-                    (
-                        entry.label,
-                        "magic-rewritten fixpoint is demand-specific; "
-                        "recomputed on next demand",
-                    )
-                )
-                continue
-            if not entry.maintainable:
-                fallbacks.append(
-                    (entry.label, "plan outside the maintainable fragment")
-                )
-                continue
-            store = entry.store.copy()
-            FixpointMaintainer(entry.compiled, store).apply(
-                inserted, retracted, edb=version.store
-            )
-            with target._lock:
-                target._fixpoints[key] = _CacheEntry(
-                    store,
-                    entry.compiled,
-                    entry.maintainable,
-                    entry.rewrite,
-                    entry.label.rsplit(" @v", 1)[0]
-                    + f" @v{version.number}",
-                )
-            migrated += 1
-        return migrated, fallbacks
 
     # -- observability -----------------------------------------------------
 
@@ -627,9 +414,7 @@ class ReasoningService:
         stores, applied at the version-chain level).
         """
         head = self._snapshots._head
-        head_caches = (
-            head.caches.stats() if head.caches is not None else None
-        )
+        head_caches = head.cache.stats()
         seen: set = set()
         versions: Dict[str, dict] = {}
         head_report = None

@@ -26,39 +26,32 @@ newer version's base chain, or an older lease, still needs it).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
+from ..api.cache import FixpointCache
+from ..api.planner import store_label
 from ..core.atoms import Atom
 from ..storage import DeltaOverlay, FactStore, make_store
 
 __all__ = ["SnapshotLease", "SnapshotManager", "SnapshotVersion"]
 
 
-def _store_label(store) -> str:
-    """The display/cache name of a ``store=`` choice (factories carry
-    their name in ``__name__`` — e.g. ``sharded_store_factory``)."""
-    if isinstance(store, str):
-        return store
-    return getattr(store, "__name__", type(store).__name__)
-
-
 class SnapshotVersion:
     """One immutable EDB version: a frozen store plus its bookkeeping.
 
-    ``caches`` is scratch space owned by the serving layer (per-version
-    fixpoint materializations and star abstractions); the manager only
-    carries it so that version GC drops the caches together with the
-    store.
+    ``cache`` holds the fixpoint materializations and star abstractions
+    valid for exactly this version's EDB; version GC drops it together
+    with the store.
     """
 
-    __slots__ = ("number", "store", "depth", "refs", "caches")
+    __slots__ = ("number", "store", "depth", "refs", "cache")
 
     def __init__(self, number: int, store: FactStore, depth: int):
         self.number = number
         self.store = store
         self.depth = depth
         self.refs = 0
-        self.caches: Optional[object] = None
+        self.cache = FixpointCache(store, number)
 
     def __repr__(self) -> str:
         return (
@@ -255,7 +248,7 @@ class SnapshotManager:
                 "collected": self.collected,
                 "flattened": self.flattened,
                 "flatten_depth": self._flatten_depth,
-                "store": _store_label(self._store_name),
+                "store": store_label(self._store_name),
             }
 
     def __repr__(self) -> str:

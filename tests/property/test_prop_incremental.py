@@ -10,36 +10,21 @@ afterthought: the op generator plants them at roughly the same rate as
 insertions, including retractions of facts of *derived* predicates.
 """
 
-import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.core.atoms import Atom
 from repro.core.instance import Database
-from repro.core.program import Program
-from repro.core.terms import Constant, Variable
-from repro.core.tgd import TGD
-from repro.incremental import ChangeSet
+from repro.incremental import FixpointMaintainer
 from repro.lang.parser import parse_query
 from repro.reasoning.answers import certain_answers
+from repro.server import ReasoningService
 from repro.storage import BACKENDS
 
-X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
-
-#: Linear TC (recursive stratum → DRed) feeding two non-recursive
-#: strata (→ counting); heads of every stratum are also legal EDB
-#: predicates, so retraction of derived-predicate assertions is hit.
-PROGRAM = Program(
-    [
-        TGD((Atom("e", (X, Y)),), (Atom("t", (X, Y)),)),
-        TGD((Atom("e", (X, Y)), Atom("t", (Y, Z))), (Atom("t", (X, Z)),)),
-        TGD((Atom("t", (X, Y)), Atom("t", (Y, X))), (Atom("m", (X, Y)),)),
-        TGD((Atom("t", (X, Y)),), (Atom("r", (X,)),)),
-    ],
-    name="prop-incremental",
-)
+from .strategies import MAINTAINABLE_PROGRAM as PROGRAM
+from .strategies import op_streams
 
 QUERY = parse_query("q(X,Y) :- t(X,Y).")
 QUERIES = (
@@ -47,44 +32,6 @@ QUERIES = (
     parse_query("q(X,Y) :- m(X,Y)."),
     parse_query("q(X) :- r(X)."),
 )
-
-#: (predicate, arity) pool for generated facts — EDB *and* derived.
-PREDICATES = (("e", 2), ("t", 2), ("m", 2), ("r", 1))
-
-
-@st.composite
-def op_streams(draw):
-    """A seed database plus a random insert/retract/query interleaving."""
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    n = draw(st.integers(min_value=3, max_value=5))
-
-    def fact(predicate, arity):
-        return Atom(
-            predicate,
-            tuple(Constant(f"n{rng.randrange(n)}") for _ in range(arity)),
-        )
-
-    seed = {fact("e", 2) for _ in range(draw(st.integers(1, 6)))}
-    ops = []
-    for _ in range(draw(st.integers(1, 12))):
-        kind = rng.choice(("insert", "retract", "mixed", "query"))
-        if kind == "query":
-            ops.append(("query", rng.randrange(len(QUERIES))))
-            continue
-        inserts, retracts = [], []
-        if kind in ("insert", "mixed"):
-            inserts = [
-                fact(*rng.choice(PREDICATES))
-                for _ in range(rng.randrange(1, 4))
-            ]
-        if kind in ("retract", "mixed"):
-            retracts = [
-                fact(*rng.choice(PREDICATES))
-                for _ in range(rng.randrange(1, 4))
-            ]
-        ops.append(("apply", ChangeSet.of(inserts=inserts, retracts=retracts)))
-    ops.append(("query", 0))  # always check the final state
-    return Database(seed), ops
 
 
 def _drive(store: str, method: str, database, ops):
@@ -108,7 +55,7 @@ def _drive(store: str, method: str, database, ops):
 
 
 @settings(max_examples=30, deadline=None)
-@given(op_streams())
+@given(op_streams(len(QUERIES)))
 def test_session_apply_equals_recompute_datalog_all_backends(data):
     database, ops = data
     for store in BACKENDS:
@@ -116,7 +63,7 @@ def test_session_apply_equals_recompute_datalog_all_backends(data):
 
 
 @settings(max_examples=12, deadline=None)
-@given(op_streams())
+@given(op_streams(len(QUERIES)))
 def test_session_apply_equals_recompute_other_engines(data):
     """chase and network cache materializations too; their upgraded
     fixpoints must agree with recomputation just the same."""
@@ -126,7 +73,7 @@ def test_session_apply_equals_recompute_other_engines(data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(op_streams())
+@given(op_streams(len(QUERIES)))
 def test_maintained_cache_is_actually_hit(data):
     """After any update stream, the next datalog query must be served
     from the upgraded cache (no silent fall-back to recomputation)."""
@@ -145,3 +92,50 @@ def test_maintained_cache_is_actually_hit(data):
     stream.to_set()
     if applied:
         assert stream.stats.from_cache
+
+
+def _migrated(service, batch):
+    """``service.apply(batch)`` plus the stats of every maintainer run
+    it made while carrying the head's fixpoints into the new version."""
+    runs = []
+    maintain = FixpointMaintainer.apply
+
+    def recorded(maintainer, *args, **kwargs):
+        stats = maintain(maintainer, *args, **kwargs)
+        runs.append(stats)
+        return stats
+
+    with mock.patch.object(FixpointMaintainer, "apply", recorded):
+        return service.apply(batch), runs
+
+
+@settings(max_examples=20, deadline=None)
+@given(op_streams(), st.sampled_from(BACKENDS))
+def test_in_place_and_migrated_upgrades_agree(data, store):
+    """The one upgrade path, both ways: a Session maintains its fixpoint
+    in place, a ReasoningService maintains a copy into each next
+    version.  At every version both hold the same fixpoint, and both
+    maintainers report the same work counters."""
+    database, ops = data
+    text = "q(X,Y) :- t(X,Y)."
+    session = Session(store=store)
+    session.compile(PROGRAM)
+    session.add_facts(database)
+    service = ReasoningService(PROGRAM, store=store, facts=database)
+    session.query(text, rewrite="none").to_set()
+    service.query(text, rewrite="none")
+    in_place = session.plan(text, rewrite="none")
+    migrated = service.session.plan(text, rewrite="none")
+    for kind, batch in ops:
+        if kind != "apply":
+            continue
+        report = session.apply(batch)
+        update, runs = _migrated(service, batch)
+        assert update.effective == bool(report.inserted or report.retracted)
+        assert not report.fallbacks and not update.fallbacks
+        assert [stats for _, stats in report.maintained] == runs
+        assert update.migrated == len(runs) == int(update.effective)
+        with service.snapshots.current() as lease:
+            assert lease.version == update.version
+            head = lease.snapshot.cache.get_fixpoint(migrated)
+        assert set(head) == set(session.get_fixpoint(in_place))

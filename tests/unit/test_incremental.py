@@ -300,6 +300,31 @@ class TestSessionApply:
         )
         assert stream.stats.from_cache
 
+    @pytest.mark.parametrize("store", ["instance", "columnar"])
+    def test_stream_straddling_apply_is_not_cached(self, store):
+        """Regression: a lazy stream started before an ``apply`` and
+        drained after it saturated a mix of both EDBs; registering that
+        store stamped with the new watermark served it as current."""
+        session = Session(store=store)
+        session.load(
+            "e(a,b). e(b,c). e(c,d). e(d,f).\n"
+            "t(X,Y) :- e(X,Y).\nt(X,Z) :- e(X,Y), t(Y,Z)."
+        )
+        query = "q(X,Y) :- t(X,Y)."
+        it = iter(session.query(query, rewrite="none"))
+        next(it)
+        session.apply(inserts=[f("e", "f", "g")])
+        list(it)
+        again = session.query(query, rewrite="none")
+        assert len(again.to_set()) == 15
+        assert not again.stats.from_cache
+        fresh = Session(store=store)
+        fresh.load(
+            "e(a,b). e(b,c). e(c,d). e(d,f). e(f,g).\n"
+            "t(X,Y) :- e(X,Y).\nt(X,Z) :- e(X,Y), t(Y,Z)."
+        )
+        assert again.to_set() == fresh.query(query).to_set()
+
     def test_per_store_and_method_entries_all_maintained(self):
         session = Session()
         session.load(TC_SOURCE)
@@ -345,7 +370,7 @@ class TestLazyCatchupReporting:
         session.apply(inserts=[f("e", "c", "d")])
         # Simulate a direct-EDB mutation recorded late: rewind the
         # entry's watermark past the retained log window.
-        entry = session._fixpoints[session._fixpoint_key(plan)]
+        (entry,) = session.fixpoints.entries()
         entry.version -= 1
         session.mutations.entries.clear()
         assert session.get_fixpoint(plan) is None  # dropped: log gap

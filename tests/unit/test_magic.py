@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.api import REWRITES, Planner, Session, compile_program
+from repro.api import (
+    REWRITES,
+    FixpointCache,
+    Planner,
+    Session,
+    compile_program,
+)
 from repro.core.terms import Constant
 from repro.datalog.seminaive import datalog_answers, seminaive
 from repro.lang.parser import parse_program, parse_query
@@ -13,6 +19,7 @@ from repro.rewriting import (
     magic_rewrite,
     query_constants,
 )
+from repro.server import ReasoningService
 
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
 
@@ -361,22 +368,46 @@ class TestSessionIntegration:
             session.plan(f"q(V{i}) :- t(a,V{i}).")
         assert len(session._adorned) == Session._ADORNED_CACHE_LIMIT
 
-    def test_magic_fixpoint_cache_is_bounded(self):
-        session = Session()
+    @pytest.mark.parametrize("surface", ["session", "service"])
+    def test_magic_fixpoint_cache_is_bounded(self, surface):
         facts = " ".join(f"e(n{i},m{i})." for i in range(40))
-        session.load(facts + "\nt(X,Y) :- e(X,Y).")
-        for i in range(40):
-            session.query(f"q(Y) :- t(n{i},Y).").to_set()
+        source = facts + "\nt(X,Y) :- e(X,Y)."
+        if surface == "session":
+            session = Session()
+            session.load(source)
+            cache = session.fixpoints
+
+            def from_cache(query):
+                stream = session.query(query)
+                stream.to_set()
+                return stream.stats.from_cache
+
+        else:
+            service = ReasoningService(source)
+            with service.snapshots.current() as lease:
+                cache = lease.snapshot.cache
+
+            def from_cache(query):
+                return service.query(query).stats["from_cache"]
+
+        limit = FixpointCache.MAGIC_LIMIT
+        for i in range(limit):
+            from_cache(f"q(Y) :- t(n{i},Y).")
+        # A re-read makes n0 the most recently used entry: the next
+        # registrations evict n1 onwards, never n0.
+        assert from_cache("q(Y) :- t(n0,Y).")
+        for i in range(limit, 40):
+            from_cache(f"q(Y) :- t(n{i},Y).")
         magic_entries = [
             entry
-            for entry in session._fixpoints.values()
+            for entry in cache.entries()
             if entry.rewrite == "magic"
         ]
-        assert len(magic_entries) == Session._MAGIC_FIXPOINT_LIMIT
+        assert len(magic_entries) == FixpointCache.MAGIC_LIMIT
         # The most recent point query is still served from cache.
-        stream = session.query("q(Y) :- t(n39,Y).")
-        stream.to_set()
-        assert stream.stats.from_cache
+        assert from_cache("q(Y) :- t(n39,Y).")
+        assert from_cache("q(Y) :- t(n0,Y).")
+        assert not from_cache("q(Y) :- t(n1,Y).")
 
     def test_store_backends_agree(self):
         expected = None
